@@ -52,8 +52,8 @@ def _config() -> TpccConfig:
 
 
 def test_anchor_overhead_under_5_percent():
-    anchored = build_system(_config(), worker_threads=0, freshness_anchor=True)
-    plain = build_system(_config(), worker_threads=0, freshness_anchor=False)
+    anchored = build_system(_config(), freshness_anchor=True)
+    plain = build_system(_config(), freshness_anchor=False)
     arms = {"on": anchored.transactions, "off": plain.transactions}
     assert anchored.server.engine.freshness is not None
     assert plain.server.engine.freshness is None

@@ -153,8 +153,8 @@ class AnalysisConfig:
 
 #: Declared lock order for this repository, outermost → innermost. The
 #: client connection's state lock is outermost (the driver holds it
-#: across whole server round-trips); the server session/plan locks and
-#: the statement scheduler come next; the txn lock manager sits above
+#: across whole server round-trips); the server session/plan locks come
+#: next; the txn lock manager sits above
 #: storage (it blocks); the catalog and index latches sit above the
 #: enclave because comparators call into the gateway while held; the
 #: enclave's own locks sit above storage because ecalls never call back
@@ -175,7 +175,6 @@ DEFAULT_LOCK_ORDER = (
     "repro.net.router.*",
     "repro.net.wireserver.WireServer.*",
     "repro.sqlengine.server.SqlServer.*",
-    "repro.sqlengine.scheduler.StatementScheduler.*",
     "repro.sqlengine.txn.locks.LockManager.*",
     "repro.sqlengine.txn.transaction.*",
     "repro.sqlengine.catalog.Catalog.*",
@@ -212,7 +211,6 @@ DEFAULT_RECEIVER_ALIASES = {
     "registry": "repro.obs.metrics.MetricsRegistry",
     "pool": "repro.sqlengine.storage.bufferpool.BufferPool",
     "_pool": "repro.sqlengine.storage.bufferpool.BufferPool",
-    "scheduler": "repro.sqlengine.scheduler.StatementScheduler",
     "cek_cache": "repro.client.caches.CekCache",
 }
 

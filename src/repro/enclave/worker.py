@@ -216,12 +216,11 @@ class EnclaveCallGateway:
 
     def _worker_loop(self) -> None:
         while not self._shutdown:
-            # Sleeping state: block on the queue. Picking up work from here
-            # is a wakeup and pays the enclave-entry transition.
-            try:
-                item = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                continue
+            # Sleeping state: block on the queue until work or the shutdown
+            # sentinel arrives, so an idle gateway costs no CPU. Picking up
+            # work from here is a wakeup and pays the enclave-entry
+            # transition.
+            item = self._queue.get()
             if item is None:
                 return
             with get_registry().adopt_contexts(item.contexts), \

@@ -14,6 +14,7 @@ The pipeline per DESIGN.md Section 5:
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 
@@ -53,6 +54,11 @@ def calibrate_system(system: TpccSystem, n_transactions: int = 60) -> Calibratio
     txns = system.transactions
     # Warm up caches (plan cache; describe cache only if enabled; CEK cache).
     txns.run_mix(10, TRANSACTION_MIX)
+    # Start every timed window from an empty collector backlog: otherwise a
+    # full collection of whatever heap the process has built up can land
+    # inside one configuration's window and not another's, and at small
+    # scale that pause outweighs the demand differences being measured.
+    gc.collect()
 
     rt_before = system.connection.stats.total_roundtrips
     enclave_before = system.enclave.counters.cpu_seconds if system.enclave else 0.0

@@ -5,8 +5,8 @@ single-stream service demands and solves a queueing network, because pure
 Python under the GIL cannot natively exhibit 100-thread concurrency. This
 module produces the *measured* companion: N real client threads, each
 with its own driver connection, driving the standard TPC-C mix through
-the concurrent session layer (bounded worker pool, two-phase locking,
-shared plan cache, shared enclave sessions).
+the concurrent session layer (statements on each session's thread,
+two-phase locking, shared plan cache, shared enclave sessions).
 
 To make measured scaling meaningful despite the GIL, each driver
 round-trip sleeps ``simulated_rtt_s`` (an in-datacenter RTT), restoring
@@ -71,7 +71,6 @@ class MeasuredCurve:
 @dataclass
 class Figure8MeasuredResult:
     rtt_s: float
-    worker_threads: int
     transactions_per_client: int
     curves: list[MeasuredCurve]
 
@@ -109,7 +108,6 @@ class Figure8MeasuredResult:
         return {
             "figure": "8-measured",
             "rtt_s": self.rtt_s,
-            "worker_threads": self.worker_threads,
             "transactions_per_client": self.transactions_per_client,
             "normalized": self.normalized(),
             "curves": [
@@ -132,7 +130,6 @@ def run_figure8_measured(
     client_counts: tuple[int, ...] = MEASURED_CLIENT_COUNTS,
     transactions_per_client: int = 16,
     rtt_s: float = MEASURED_RTT_S,
-    worker_threads: int = 16,
     lock_timeout_s: float = 0.15,
     output_path: Path | str | None = None,
 ) -> Figure8MeasuredResult:
@@ -155,9 +152,7 @@ def run_figure8_measured(
         # A short lock timeout keeps deadlock victims cheap: under real
         # contention a victim rolls back and retries in ~lock_timeout_s
         # instead of stalling the whole curve for the default 5 s.
-        system = build_system(
-            config, worker_threads=worker_threads, lock_timeout_s=lock_timeout_s
-        )
+        system = build_system(config, lock_timeout_s=lock_timeout_s)
         # Warm the plan cache / CEK cache / enclave sessions before timing.
         system.transactions.run_mix(8, TRANSACTION_MIX)
 
@@ -202,7 +197,6 @@ def run_figure8_measured(
 
     result = Figure8MeasuredResult(
         rtt_s=rtt_s,
-        worker_threads=worker_threads,
         transactions_per_client=transactions_per_client,
         curves=curves,
     )

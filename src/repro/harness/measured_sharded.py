@@ -9,7 +9,7 @@ processes behind the router process, the unmodified AE driver speaking
 the binary wire protocol to one address.
 
 The sweep keeps the single-process run's mix, per-round-trip RTT and
-per-client transaction budget, with two deliberate differences:
+per-client transaction budget, with one deliberate difference:
 
 * **Warehouses scale with the peak client count** (16), TPC-C's own
   scaling rule (one home warehouse per terminal). At the single-process
@@ -20,12 +20,6 @@ per-client transaction budget, with two deliberate differences:
   per client removes cross-client contention from *both* systems being
   compared; the same scale is used for the same-host in-process
   reference measured alongside.
-* **Shards run statements inline on their connection threads**
-  (``worker_threads=0``). The bounded worker pool exists to cap
-  concurrency *inside one shared process*; a shard process already has
-  exactly one connection thread per client it serves, and hopping each
-  statement through submit→worker→reply-wakeup adds three thread
-  switches per statement — measurably slower at every shard count.
 
 Whether sharding can *exceed* the in-process ceiling is a property of
 the host, so the result records the host topology and a same-host
@@ -67,13 +61,6 @@ from repro.workloads.tpcc.sharded import start_sharded_system, wait_for_quiesce
 #: wire/router overhead against the in-process baseline; 8 shards is past
 #: the point where the client process or router becomes the bottleneck.
 SHARD_COUNTS = (1, 2, 4, 8)
-
-#: Worker threads per shard process. 0 = execute inline on the shard's
-#: connection threads: each shard already has one thread per client
-#: connection, and the submit→worker→reply chain costs three thread
-#: wakeups per statement. The pool only pays for itself when many
-#: sessions share one process — exactly what sharding removes.
-SHARD_WORKER_THREADS = 0
 
 #: Home warehouses at the peak client count: one per client (TPC-C's
 #: terminal-per-warehouse scaling rule). See the module docstring.
@@ -138,7 +125,6 @@ class ShardedCurve:
 @dataclass
 class Figure8ShardedResult:
     rtt_s: float
-    worker_threads_per_shard: int
     transactions_per_client: int
     mode: str
     inprocess_baseline_txn_s: float | None   # archived artifact, 16 clients
@@ -205,7 +191,6 @@ class Figure8ShardedResult:
             "figure": "8-sharded",
             "mode": self.mode,
             "rtt_s": self.rtt_s,
-            "worker_threads_per_shard": self.worker_threads_per_shard,
             "transactions_per_client": self.transactions_per_client,
             "host": self.host,
             "scaling_gate_applicable": self.scaling_gate_applicable,
@@ -254,26 +239,21 @@ def measure_inprocess_reference(
     in-process number measured on different hardware says nothing.
     """
     config = _config(EncryptionMode.PLAINTEXT, scale)
-    system = build_system(config, worker_threads=16, lock_timeout_s=lock_timeout_s)
-    try:
-        system.transactions.run_mix(8, TRANSACTION_MIX)
-        result = run_multi_client(
-            system,
-            n_clients=n_clients,
-            transactions_per_client=transactions_per_client,
-            simulated_rtt_s=rtt_s,
-            seed=5000 + n_clients,
+    system = build_system(config, lock_timeout_s=lock_timeout_s)
+    system.transactions.run_mix(8, TRANSACTION_MIX)
+    result = run_multi_client(
+        system,
+        n_clients=n_clients,
+        transactions_per_client=transactions_per_client,
+        simulated_rtt_s=rtt_s,
+        seed=5000 + n_clients,
+    )
+    violations = check_invariants(system)
+    if violations:
+        raise AssertionError(
+            f"in-process reference violated invariants: {violations}"
         )
-        violations = check_invariants(system)
-        if violations:
-            raise AssertionError(
-                f"in-process reference violated invariants: {violations}"
-            )
-        return result.throughput
-    finally:
-        # Drain the reference system's worker threads: leaving 16 parked
-        # workers in this process skews every measurement taken after it.
-        system.server.scheduler.shutdown()
+    return result.throughput
 
 
 def _measure_one_shard_count(
@@ -282,7 +262,6 @@ def _measure_one_shard_count(
     client_counts: tuple[int, ...],
     transactions_per_client: int,
     rtt_s: float,
-    worker_threads: int,
     lock_timeout_s: float,
     mode: EncryptionMode = EncryptionMode.PLAINTEXT,
 ) -> ShardedCurve:
@@ -290,7 +269,6 @@ def _measure_one_shard_count(
     system = start_sharded_system(
         config,
         n_shards=n_shards,
-        worker_threads=worker_threads,
         lock_timeout_s=lock_timeout_s,
     )
     try:
@@ -337,7 +315,6 @@ def run_figure8_sharded(
     client_counts: tuple[int, ...] = MEASURED_CLIENT_COUNTS,
     transactions_per_client: int = 16,
     rtt_s: float = MEASURED_RTT_S,
-    worker_threads: int = SHARD_WORKER_THREADS,
     lock_timeout_s: float = 0.15,
     baseline_path: Path | str | None = None,
     output_path: Path | str | None = None,
@@ -366,7 +343,6 @@ def run_figure8_sharded(
             client_counts,
             transactions_per_client,
             rtt_s,
-            worker_threads,
             lock_timeout_s,
         )
         for n_shards in shard_counts
@@ -378,14 +354,13 @@ def run_figure8_sharded(
             ae_client_counts,
             transactions_per_client,
             rtt_s,
-            worker_threads,
             lock_timeout_s,
             mode=EncryptionMode.RND,
         )
         for n_shards in ae_shard_counts
     ]
     # Measured LAST: the reference builds a full engine in *this* process,
-    # and its thread pool must never coexist with a sharded measurement.
+    # and no shard process may be forked from a copy of it.
     inprocess_same_host = (
         measure_inprocess_reference(
             scale,
@@ -398,7 +373,6 @@ def run_figure8_sharded(
     )
     result = Figure8ShardedResult(
         rtt_s=rtt_s,
-        worker_threads_per_shard=worker_threads,
         transactions_per_client=transactions_per_client,
         mode="SQL-PT",
         inprocess_baseline_txn_s=_load_inprocess_baseline(
@@ -416,7 +390,6 @@ def run_figure8_sharded(
 
 __all__ = [
     "SHARD_COUNTS",
-    "SHARD_WORKER_THREADS",
     "SHARDED_WAREHOUSES",
     "ShardedCurve",
     "Figure8ShardedResult",

@@ -73,16 +73,21 @@ class WireServer:
         if self._stopping.is_set():
             return
         self._stopping.set()
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does, so the join below returns promptly.
         try:
-            self._listener.close()
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5)
+        # Snapshot after the accept thread is gone, so a connection it
+        # accepted during shutdown is closed too.
         with self._channels_lock:
             channels = list(self._channels)
         for channel in channels:
             channel.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
 
     def __enter__(self) -> "WireServer":
         return self.start()

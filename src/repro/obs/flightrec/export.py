@@ -9,8 +9,8 @@ JSONL layout — one header line, then one event per line::
 The Chrome export turns every event with a ``duration_s`` attribute
 (closed spans, lock/latch waits, measured transitions) into a complete
 ``"X"`` slice and everything else into an instant ``"i"`` marker. Slices
-are grouped by thread (tid): a statement runs start-to-finish on one
-scheduler worker and ecall spans close on that same thread, so Perfetto's
+are grouped by thread (tid): a statement runs start-to-finish on its
+session's thread and ecall spans close on that same thread, so Perfetto's
 time-nesting parents every ecall and wait slice under its statement span.
 Statement and session ids travel in ``args`` on every slice.
 """

@@ -17,10 +17,10 @@ nowhere, so tracing a hot loop without an active statement trace cannot
 leak memory. Child lists are capped (:data:`MAX_CHILDREN_PER_SPAN`); the
 overflow is *counted*, never silently dropped.
 
-Cross-thread propagation: a statement executing on a scheduler worker (or
-shipping work to the QUEUED enclave gateway) establishes a
-:class:`TraceContext`; submitting code calls :meth:`Tracer.capture` and
-the receiving thread wraps the work in :meth:`Tracer.adopt`, so spans and
+Cross-thread propagation: a statement establishes a :class:`TraceContext`
+on its session's thread; when it ships work to the QUEUED enclave
+gateway, submitting code calls :meth:`Tracer.capture` and the receiving
+thread wraps the work in :meth:`Tracer.adopt`, so spans and
 flight-recorder events emitted on the worker parent under the submitting
 statement's trace instead of silently rooting a fresh one. With
 ``tracer.strict`` set (tests), an adopted thread opening a span with no
@@ -46,8 +46,8 @@ ECALL = "enclave.ecall"
 
 MAX_CHILDREN_PER_SPAN = 512
 
-# Guards cross-thread child attachment: gateway/scheduler workers append
-# children onto a span owned by the (blocked) submitting thread.
+# Guards cross-thread child attachment: gateway workers append children
+# onto a span owned by the (blocked) submitting thread.
 _CHILD_LOCK = threading.Lock()
 
 
@@ -107,8 +107,7 @@ class Span:
     def add_child(self, child: "Span") -> None:
         # Adopted parents receive children from whichever worker thread is
         # doing the statement's work; the submitter is blocked meanwhile,
-        # but gateway and scheduler workers can interleave, so attachment
-        # is serialized.
+        # but gateway workers can interleave, so attachment is serialized.
         with _CHILD_LOCK:
             if len(self.children) >= MAX_CHILDREN_PER_SPAN:
                 self.dropped_children += 1

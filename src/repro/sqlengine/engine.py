@@ -444,11 +444,11 @@ class StorageEngine:
         self.locks.acquire(txn.txn_id, ("row", table_name.lower(), rid), LockMode.EXCLUSIVE)
         self._ensure_begin_logged(txn)
         old_row = table.heap.read(rid)
-        self._index_delete(table, old_row, rid)
+        self._index_delete(table, old_row, rid, unchanged_in=new_row)
         try:
-            self._index_insert(table, new_row, rid)
+            self._index_insert(table, new_row, rid, unchanged_in=old_row)
         except Exception:
-            self._index_insert(table, old_row, rid)
+            self._index_insert(table, old_row, rid, unchanged_in=new_row)
             raise
         try:
             table.heap.update(rid, new_row)
@@ -469,8 +469,8 @@ class StorageEngine:
             )
         except Exception:
             table.heap.update(rid, old_row)
-            self._index_delete(table, new_row, rid)
-            self._index_reinsert_raw(table, old_row, rid)
+            self._index_delete(table, new_row, rid, unchanged_in=old_row)
+            self._index_reinsert_raw(table, old_row, rid, unchanged_in=new_row)
             raise
         txn.undo_log.append(UndoEntry("update", table_name.lower(), rid, old_row, new_row))
         txn.touched_tables.add(table_name.lower())
@@ -555,16 +555,36 @@ class StorageEngine:
 
     # -------------------------------------------------------- index maintenance
 
-    def _index_insert(self, table: TableObject, row: tuple, rid: RowId) -> None:
+    @staticmethod
+    def _maintained_indexes(
+        table: TableObject, row: tuple, unchanged_in: tuple | None
+    ) -> list[tuple[IndexObject, tuple]]:
+        """``(index, key of row)`` for every ready index, skipping those
+        whose key is the same in ``unchanged_in``.
+
+        An update leaves an index whose key it does not change untouched:
+        deleting and re-inserting the same entry opens a window in which a
+        concurrent probe of that key finds no row, so an ``UPDATE … WHERE
+        <key> = …`` racing it would silently update nothing.
+        """
+        out = []
+        # list(): concurrent DDL on another session must not mutate the
+        # dict under this iteration.
+        for obj in list(table.indexes.values()):
+            if obj.state is not IndexState.READY or not obj.schema.valid:
+                continue
+            key = obj.key_of(row)
+            if unchanged_in is None or obj.key_of(unchanged_in) != key:
+                out.append((obj, key))
+        return out
+
+    def _index_insert(
+        self, table: TableObject, row: tuple, rid: RowId, unchanged_in: tuple | None = None
+    ) -> None:
         fault_point("engine.index_insert", table=table.schema.name, rid=rid)
         inserted: list[tuple[IndexObject, object]] = []
         try:
-            # list(): concurrent DDL on another session must not mutate the
-            # dict under this iteration.
-            for obj in list(table.indexes.values()):
-                if obj.state is not IndexState.READY or not obj.schema.valid:
-                    continue
-                key = obj.key_of(row)
+            for obj, key in self._maintained_indexes(table, row, unchanged_in):
                 obj.tree.insert(key, rid)
                 inserted.append((obj, key))
         except Exception:
@@ -572,20 +592,20 @@ class StorageEngine:
                 obj.tree.delete(key, rid)
             raise
 
-    def _index_delete(self, table: TableObject, row: tuple, rid: RowId) -> None:
-        for obj in list(table.indexes.values()):
-            if obj.state is not IndexState.READY or not obj.schema.valid:
-                continue
-            obj.tree.delete(obj.key_of(row), rid)
+    def _index_delete(
+        self, table: TableObject, row: tuple, rid: RowId, unchanged_in: tuple | None = None
+    ) -> None:
+        for obj, key in self._maintained_indexes(table, row, unchanged_in):
+            obj.tree.delete(key, rid)
 
-    def _index_reinsert_raw(self, table: TableObject, row: tuple, rid: RowId) -> None:
+    def _index_reinsert_raw(
+        self, table: TableObject, row: tuple, rid: RowId, unchanged_in: tuple | None = None
+    ) -> None:
         """Restore just-removed index entries while rolling back a failed
         WAL append. No fault point, no constraint surprises: the entries
         were present moments ago."""
-        for obj in list(table.indexes.values()):
-            if obj.state is not IndexState.READY or not obj.schema.valid:
-                continue
-            obj.tree.insert(obj.key_of(row), rid)
+        for obj, key in self._maintained_indexes(table, row, unchanged_in):
+            obj.tree.insert(key, rid)
 
     def _rebuild_index(self, table: TableObject, obj: IndexObject) -> None:
         entries = []
@@ -629,9 +649,13 @@ class StorageEngine:
                 assert entry.before is not None and entry.after is not None
                 current = table.heap.read_or_none(entry.rid)
                 if current is not None:
-                    self._index_delete(table, current, entry.rid)
+                    self._index_delete(
+                        table, current, entry.rid, unchanged_in=entry.before
+                    )
                 table.heap.insert_at(entry.rid, entry.before)
-                self._index_insert(table, entry.before, entry.rid)
+                self._index_insert(
+                    table, entry.before, entry.rid, unchanged_in=current
+                )
                 if log_compensation:
                     self.wal.append(
                         txn.txn_id,

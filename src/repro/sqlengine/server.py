@@ -133,7 +133,6 @@ class SqlServer:
         lock_timeout_s: float = 2.0,
         allow_enclave_order_by: bool = False,
         eval_batch_size: int = 64,
-        worker_threads: int = 4,
         max_sessions: int | None = None,
         freshness: FreshnessAnchor | None = None,
     ):
@@ -174,7 +173,7 @@ class SqlServer:
         # Process-wide statement ids: unique across sessions, so traces
         # and flight-recorder events never collide between clients.
         self._statement_ids = itertools.count(1)
-        self.scheduler = StatementScheduler(worker_threads=worker_threads)
+        self.scheduler = StatementScheduler()
         self.max_sessions = max_sessions
         self._sessions_lock = threading.Lock()
         self._open_sessions: set[int] = set()
@@ -519,8 +518,8 @@ class ServerSession:
     """One client connection: transaction state + execution entry point.
 
     A session is used by one client thread at a time (the usual connection
-    contract); *different* sessions execute concurrently, dispatched onto
-    the server's statement scheduler.
+    contract); *different* sessions execute concurrently, each statement
+    on its own session's thread.
     """
 
     def __init__(self, server: SqlServer, session_id: int):
@@ -609,9 +608,9 @@ class ServerSession:
         if stmt_probe.startswith("ROLLBACK"):
             self._rollback()
             return QueryResult()
-        # DML runs start-to-finish on one scheduler worker, so the
-        # thread-local tracer and stats attribution context both live on
-        # the thread actually doing the work.
+        # DML runs start-to-finish on this thread, so the thread-local
+        # tracer and stats attribution context both live on the thread
+        # actually doing the work.
         return self.server.scheduler.submit(
             lambda: self._run_statement(query_text, params or {})
         )

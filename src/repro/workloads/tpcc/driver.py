@@ -78,7 +78,6 @@ def build_system(
     config: TpccConfig,
     enclave_call_mode: CallMode = CallMode.QUEUED,
     cache_describe_results: bool = False,
-    worker_threads: int = 4,
     lock_timeout_s: float = 5.0,
     freshness_anchor: bool = False,
 ) -> TpccSystem:
@@ -126,7 +125,6 @@ def build_system(
         enclave_call_mode=enclave_call_mode,
         lock_timeout_s=lock_timeout_s,
         eval_batch_size=config.eval_batch_size,
-        worker_threads=worker_threads,
         freshness=freshness,
     )
     registry = default_registry()

@@ -92,7 +92,6 @@ def _shard_audit(server: SqlServer, config: TpccConfig) -> list[str]:
 
 def build_shard_server(
     config: TpccConfig,
-    worker_threads: int = 4,
     lock_timeout_s: float = 5.0,
     freshness_anchor: bool = False,
 ) -> tuple[SqlServer, bytes | None]:
@@ -137,7 +136,6 @@ def build_shard_server(
         enclave_threads=config.enclave_threads,
         lock_timeout_s=lock_timeout_s,
         eval_batch_size=config.eval_batch_size,
-        worker_threads=worker_threads,
         freshness=freshness,
     )
     return server, author_id
@@ -147,7 +145,6 @@ def _shard_process_main(
     shard_idx: int,
     n_shards: int,
     config: TpccConfig,
-    worker_threads: int,
     lock_timeout_s: float,
     freshness_anchor: bool,
     pipe,
@@ -155,7 +152,6 @@ def _shard_process_main(
     """Entry point of one shard OS process: build, serve, wait for shutdown."""
     server, author_id = build_shard_server(
         config,
-        worker_threads=worker_threads,
         lock_timeout_s=lock_timeout_s,
         freshness_anchor=freshness_anchor,
     )
@@ -360,7 +356,6 @@ def _assemble(
 def start_sharded_system(
     config: TpccConfig,
     n_shards: int,
-    worker_threads: int = 4,
     lock_timeout_s: float = 5.0,
     freshness_anchor: bool = False,
     decision_log_path: str | None = None,
@@ -380,7 +375,6 @@ def start_sharded_system(
                 shard_idx,
                 n_shards,
                 config,
-                worker_threads,
                 lock_timeout_s,
                 freshness_anchor,
                 child_end,
@@ -427,7 +421,6 @@ def start_sharded_system(
 def start_sharded_inprocess(
     config: TpccConfig,
     n_shards: int,
-    worker_threads: int = 4,
     lock_timeout_s: float = 5.0,
     freshness_anchor: bool = False,
     decision_log_path: str | None = None,
@@ -439,7 +432,6 @@ def start_sharded_inprocess(
     for shard_idx in range(n_shards):
         server, author_id = build_shard_server(
             config,
-            worker_threads=worker_threads,
             lock_timeout_s=lock_timeout_s,
             freshness_anchor=freshness_anchor,
         )

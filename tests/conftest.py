@@ -7,6 +7,8 @@ is rebuilt per test from the cached keys.
 
 from __future__ import annotations
 
+import threading
+import time
 from dataclasses import dataclass, field
 
 import pytest
@@ -26,6 +28,38 @@ ALGO = "AEAD_AES_256_CBC_HMAC_SHA_256"
 
 VAULT_PATH_ENCLAVE = "https://vault.azure.net/keys/test-enclave-cmk"
 VAULT_PATH_PLAIN = "https://vault.azure.net/keys/test-plain-cmk"
+
+
+#: Thread-name prefixes of server threads that must not outlive the test
+#: that started them: wire-server and router accept/connection threads,
+#: and statement workers.
+LEAK_CHECKED_THREAD_PREFIXES = ("wire-", "router-", "stmt-worker-")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_server_threads():
+    """Fail a test that leaves a wire/router/statement thread running.
+
+    A connection thread exits just after its socket is closed, so the
+    check polls briefly; a thread still blocked after that was never
+    stopped.
+    """
+    before = set(threading.enumerate())
+    yield
+
+    def leaked() -> list[str]:
+        return sorted(
+            t.name
+            for t in threading.enumerate()
+            if t not in before
+            and t.is_alive()
+            and t.name.startswith(LEAK_CHECKED_THREAD_PREFIXES)
+        )
+
+    deadline = time.monotonic() + 2.0
+    while leaked() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not leaked(), f"server threads outlived the test: {leaked()}"
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,8 @@ behaviors: presumed abort when the decision never lands (an armed
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import TransactionError, TransientFault
@@ -41,6 +43,24 @@ def cluster(tmp_path):
     router.stop()
     for wire in wires:
         wire.stop()
+
+
+def _alive(name: str) -> bool:
+    return any(t.name == name and t.is_alive() for t in threading.enumerate())
+
+
+def test_stop_wakes_the_blocked_accept_threads():
+    """stop() returns only after its accept thread has exited, even though
+    that thread was blocked in accept() when stop() was called."""
+    wire = WireServer(SqlServer(), name="stoptest").start()
+    router = Router([(wire.host, wire.port)], name="stoptest").start()
+    # One round trip each proves both accept loops are back in accept().
+    RemoteServer(router.host, router.port).close()
+    router.stop()
+    assert not _alive("router-accept-stoptest")
+    RemoteServer(wire.host, wire.port).close()
+    wire.stop()
+    assert not _alive("wire-accept-stoptest")
 
 
 def test_shard_of_partitioning():

@@ -1,12 +1,11 @@
 """Cross-thread trace-context propagation, end to end.
 
-The satellite this file pins: two concurrent sessions drive encrypted
-statements through the :class:`StatementScheduler` (worker_threads >= 2)
-and the QUEUED enclave gateway, and every flight-recorder event emitted
-on *any* thread — scheduler worker, enclave worker — must carry the
-statement identity of the statement that caused it. A context that
-leaked across sessions (or was dropped at a thread hop) is exactly the
-orphaned-span bug this PR fixes."""
+Two concurrent sessions drive encrypted statements, each on its own
+thread, through the QUEUED enclave gateway, and every flight-recorder
+event emitted on *any* thread — the session's thread, an enclave
+worker — must carry the statement identity of the statement that caused
+it. A context that leaked across sessions (or was dropped at a thread
+hop) is the orphaned-span bug these tests pin."""
 
 from __future__ import annotations
 
@@ -44,10 +43,9 @@ def recorder():
 def test_concurrent_sessions_partition_events_by_statement(
     recorder, server, registry, attestation_policy, enclave_cmk, enclave_cek
 ):
-    """Two sessions, two scheduler workers, one queued enclave gateway:
-    the recording must attribute every statement-scoped event to the
+    """Two sessions on two threads, one queued enclave gateway: the
+    recording must attribute every statement-scoped event to the
     statement that caused it, with zero cross-session bleed."""
-    assert server.scheduler.worker_threads >= 2
     server.catalog.create_cmk(enclave_cmk)
     server.catalog.create_cek(enclave_cek)
     conn_a = connect(server, registry, attestation_policy=attestation_policy)
@@ -108,7 +106,7 @@ def test_concurrent_sessions_partition_events_by_statement(
         assert "stmt.begin" in kinds and "stmt.end" in kinds
         assert "enclave.ecall" in kinds
         # Cross-thread propagation: the statement's events span more than
-        # one thread (scheduler worker submits, enclave worker evaluates),
+        # one thread (the session's thread submits, enclave worker evaluates),
         # and every one of them still carries the statement id.
         threads_used = {e.thread for e in stmt_events}
         assert len(threads_used) >= 2, (stmt_id, threads_used)
@@ -117,13 +115,12 @@ def test_concurrent_sessions_partition_events_by_statement(
 
 def test_statements_on_scheduler_workers_are_never_orphaned(recorder, registry):
     """Strict orphan mode stays silent for the whole dispatch path: the
-    scheduler worker adopts the submitting session's trace before any
-    span opens (the regression this PR's tracer fix pins)."""
+    statement's trace is established before any span opens."""
     tracer = get_tracer()
     assert not tracer.strict
     tracer.strict = True
     try:
-        server = SqlServer(lock_timeout_s=1.0, worker_threads=2)
+        server = SqlServer(lock_timeout_s=1.0)
         conn = connect(server, registry, column_encryption=False)
         conn.execute_ddl("CREATE TABLE O(id int PRIMARY KEY, v int)")
         result = conn.execute(
@@ -133,7 +130,7 @@ def test_statements_on_scheduler_workers_are_never_orphaned(recorder, registry):
     finally:
         tracer.strict = False
     stmt_events = [e for e in recorder.events() if e.statement_id is not None]
-    assert stmt_events, "scheduler-dispatched statement recorded no events"
+    assert stmt_events, "dispatched statement recorded no events"
     assert {e.statement_id for e in stmt_events} == {result.stats.statement_id}
 
 

@@ -1,5 +1,8 @@
 """Storage engine: DML, index maintenance, transactions."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.crypto.aead import CellCipher, EncryptionScheme
@@ -7,6 +10,7 @@ from repro.errors import ConstraintError, SqlError
 from repro.sqlengine.catalog import Catalog, ColumnSchema, IndexSchema, TableSchema, plain_column
 from repro.sqlengine.cells import Ciphertext
 from repro.sqlengine.engine import StorageEngine
+from repro.sqlengine.server import SqlServer
 from repro.sqlengine.types import ColumnType, SqlType
 from repro.sqlengine.values import serialize_value
 
@@ -82,6 +86,42 @@ class TestDml:
         txn = engine.begin()
         with pytest.raises(SqlError):
             engine.insert(txn, "t", (1, "x" * 51))
+
+
+class TestConcurrentUpdates:
+    def test_non_key_updates_never_miss_the_row(self):
+        """Concurrent ``UPDATE … WHERE <pk> = …`` increments of one row
+        all land. An update that re-inserted the unchanged primary-key
+        entry left a window in which another session's index probe found
+        no row and updated nothing (a lost increment)."""
+        n_threads, per_thread = 3, 200
+        server = SqlServer(lock_timeout_s=5.0)
+        setup = server.connect()
+        setup.execute("CREATE TABLE R(id int PRIMARY KEY, v int)")
+        setup.execute("INSERT INTO R (id, v) VALUES (1, 0)")
+        rowcounts: list[int] = []
+
+        def worker() -> None:
+            session = server.connect()
+            for __ in range(per_thread):
+                result = session.execute("UPDATE R SET v = v + 1 WHERE id = 1")
+                rowcounts.append(result.rowcount)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for __ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert rowcounts == [1] * (n_threads * per_thread)
+        assert setup.execute("SELECT v FROM R WHERE id = 1").rows == [
+            (n_threads * per_thread,)
+        ]
 
 
 class TestTransactions:

@@ -9,32 +9,25 @@ import pytest
 
 from repro.client.driver import connect
 from repro.errors import ServerBusyError, SqlError
+from repro.obs.metrics import get_registry
 from repro.sqlengine.scheduler import StatementScheduler
-from repro.sqlengine.server import SqlServer
+from repro.sqlengine.server import ServerSession, SqlServer
 
 
 class TestStatementScheduler:
     def test_submit_returns_result(self):
-        scheduler = StatementScheduler(worker_threads=2)
+        scheduler = StatementScheduler()
         assert scheduler.submit(lambda: 41 + 1) == 42
 
     def test_passthrough_mode_runs_on_calling_thread(self):
-        scheduler = StatementScheduler(worker_threads=0)
+        scheduler = StatementScheduler()
         caller = threading.current_thread()
         ran_on: list[threading.Thread] = []
         scheduler.submit(lambda: ran_on.append(threading.current_thread()))
         assert ran_on == [caller]
-        assert scheduler.live_workers == 0
-
-    def test_worker_mode_runs_off_calling_thread(self):
-        scheduler = StatementScheduler(worker_threads=2)
-        ran_on: list[threading.Thread] = []
-        scheduler.submit(lambda: ran_on.append(threading.current_thread()))
-        assert ran_on[0] is not threading.current_thread()
-        assert ran_on[0].name.startswith("stmt-worker-")
 
     def test_errors_propagate_to_submitter(self):
-        scheduler = StatementScheduler(worker_threads=2)
+        scheduler = StatementScheduler()
 
         def boom():
             raise ValueError("expected")
@@ -42,67 +35,97 @@ class TestStatementScheduler:
         with pytest.raises(ValueError, match="expected"):
             scheduler.submit(boom)
 
-    def test_concurrency_bounded_by_worker_threads(self):
-        """With 2 workers, 4 concurrent submits never run more than 2
-        closures simultaneously."""
-        scheduler = StatementScheduler(worker_threads=2)
-        lock = threading.Lock()
-        running = [0]
-        peak = [0]
-
-        def task():
-            with lock:
-                running[0] += 1
-                peak[0] = max(peak[0], running[0])
-            time.sleep(0.02)
-            with lock:
-                running[0] -= 1
-
-        threads = [
-            threading.Thread(target=scheduler.submit, args=(task,))
-            for __ in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert peak[0] <= 2
-        assert scheduler.live_workers <= 2
-
-    def test_reentrant_submit_runs_inline(self):
-        """A task submitting from a worker thread must not wait for a
-        second worker the pool may never grant (self-deadlock): it runs
-        inline on the same worker."""
-        scheduler = StatementScheduler(worker_threads=1)
-        inner_thread: list[threading.Thread] = []
-
-        def outer():
-            scheduler.submit(
-                lambda: inner_thread.append(threading.current_thread())
-            )
-            return threading.current_thread()
-
-        outer_thread = scheduler.submit(outer)
-        assert inner_thread == [outer_thread]
-
-    def test_idle_workers_retire(self):
-        scheduler = StatementScheduler(worker_threads=2, idle_timeout_s=0.05)
-        scheduler.submit(lambda: None)
-        assert scheduler.live_workers >= 1
-        deadline = time.monotonic() + 2.0
-        while scheduler.live_workers > 0 and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert scheduler.live_workers == 0
-
     def test_shutdown_rejects_new_work(self):
-        scheduler = StatementScheduler(worker_threads=2)
+        scheduler = StatementScheduler()
         scheduler.shutdown()
         with pytest.raises(RuntimeError):
             scheduler.submit(lambda: None)
 
-    def test_negative_worker_threads_rejected(self):
-        with pytest.raises(ValueError):
-            StatementScheduler(worker_threads=-1)
+
+class TestStatementThread:
+    def test_statements_run_on_the_executing_sessions_thread(self, monkeypatch):
+        """Every DML statement runs on the thread that called
+        ``ServerSession.execute``, whichever thread that is."""
+        server = SqlServer()
+        setup = server.connect()
+        setup.execute("CREATE TABLE TT(id int PRIMARY KEY, v int)")
+        ran_on: list[tuple[str, threading.Thread]] = []
+        run_statement = ServerSession._run_statement
+
+        def spy(session, query_text, params):
+            ran_on.append((query_text, threading.current_thread()))
+            return run_statement(session, query_text, params)
+
+        monkeypatch.setattr(ServerSession, "_run_statement", spy)
+        callers: dict[str, threading.Thread] = {}
+
+        def client(i: int) -> None:
+            insert = f"INSERT INTO TT (id, v) VALUES ({i}, {i})"
+            select = f"SELECT v FROM TT WHERE id = {i}"
+            callers[insert] = callers[select] = threading.current_thread()
+            session = server.connect()
+            session.execute(insert)
+            session.execute(select)
+
+        client(0)
+        threads = [threading.Thread(target=client, args=(i,)) for i in (1, 2, 3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert len(ran_on) == 8
+        for query_text, thread in ran_on:
+            assert thread is callers[query_text], query_text
+
+    def test_lock_holder_is_not_starved_by_its_waiters(self):
+        """A transaction holding a row lock must be able to run its next
+        statement while more sessions than a small statement pool would
+        have threads sit blocked on that lock; otherwise the holder queues
+        behind its own waiters until they time out."""
+        n_waiters = 5
+        server = SqlServer(lock_timeout_s=5.0)
+        holder = server.connect()
+        holder.execute("CREATE TABLE R(id int PRIMARY KEY, v int)")
+        holder.execute("INSERT INTO R (id, v) VALUES (1, 0)")
+        holder.execute("BEGIN TRANSACTION")
+        holder.execute("UPDATE R SET v = @v WHERE id = 1", {"v": -1})
+
+        registry = get_registry()
+        waits_before = registry.value("locks.waits")
+        errors: list[Exception] = []
+
+        def waiter(i: int) -> None:
+            session = server.connect()
+            try:
+                session.execute("UPDATE R SET v = @v WHERE id = 1", {"v": i})
+            except Exception as exc:
+                errors.append(exc)
+            finally:
+                session.close()
+
+        threads = [
+            threading.Thread(target=waiter, args=(i,)) for i in range(n_waiters)
+        ]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 10.0
+        while (
+            registry.value("locks.waits") - waits_before < n_waiters
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.005)
+        assert registry.value("locks.waits") - waits_before >= n_waiters
+
+        holder.execute("INSERT INTO R (id, v) VALUES (2, 0)")
+        holder.execute("COMMIT")
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert errors == []
+        assert holder.execute("SELECT v FROM R WHERE id = 1").rows[0][0] in range(
+            n_waiters
+        )
 
 
 class TestSessionLimits:

@@ -2,7 +2,7 @@
 
 This is the serializability gate for the concurrent session layer. Real
 client threads run the standard mix against one server (shared plan
-cache, lock manager, buffer pool, worker pool), and after every thread
+cache, lock manager, buffer pool, enclave gateway), and after every thread
 joins, :func:`repro.workloads.tpcc.invariants.check_invariants` audits
 the quiesced database:
 
@@ -31,7 +31,6 @@ SCALE = dict(warehouses=2, districts_per_warehouse=2, customers_per_district=10,
 def _stress(mode: EncryptionMode, n_clients: int, per_client: int, seed: int):
     system = build_system(
         TpccConfig(mode=mode, seed=seed, **SCALE),
-        worker_threads=8,
         lock_timeout_s=0.15,
     )
     result = run_multi_client(
@@ -63,8 +62,7 @@ class TestConcurrencyStress:
         so a multi-threaded failure isolates to concurrency, not to the
         workload or checker."""
         system = build_system(
-            TpccConfig(mode=EncryptionMode.PLAINTEXT, seed=91, **SCALE),
-            worker_threads=0,
+            TpccConfig(mode=EncryptionMode.PLAINTEXT, seed=91, **SCALE)
         )
         client = system.new_client(seed=91)
         client.run_mix(40, TRANSACTION_MIX)
