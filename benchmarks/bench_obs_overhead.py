@@ -1,4 +1,4 @@
-"""OBS — flight recorder overhead.
+"""OBS — flight recorder and whole-telemetry-stack overhead.
 
 The flight recorder sits on every hot path in the stack (spans, ecalls,
 lock waits, leakage observations), so its cost must be provably small:
@@ -13,7 +13,11 @@ lock waits, leakage observations), so its cost must be provably small:
   systematically benefits from running second. Medians are compared so
   machine drift cancels instead of landing in one arm;
 * with the *registry* disabled (the global observability kill switch),
-  ``record_event`` must collapse to an attribute check — near-zero cost.
+  ``record_event`` must collapse to an attribute check — near-zero cost;
+* the whole telemetry stack — metrics registry (and with it QueryStats
+  attribution), span tracer and flight recorder — is timed all-on against
+  all-off (``enabled = False`` on all three) on the same slice, with the
+  same pairing and alternation. That ratio is recorded, not gated.
 
 The measured numbers persist to ``benchmarks/BENCH_obs_overhead.json``.
 """
@@ -27,15 +31,43 @@ import time
 from repro.enclave import CallMode
 from repro.obs.flightrec import get_recorder, record_event
 from repro.obs.metrics import get_registry
+from repro.obs.tracing import get_tracer
 from repro.workloads.tpcc.config import EncryptionMode, TpccConfig
 from repro.workloads.tpcc.driver import build_system
 
 OUT_PATH = pathlib.Path(__file__).parent / "BENCH_obs_overhead.json"
 
-PAIRS = 200         # (recorder-on, recorder-off) runs of identical work
+PAIRS = 200         # (on, off) runs of identical work per measurement
 OVERHEAD_LIMIT = 0.05
 DISABLED_CALLS = 100_000
 SEED_BASE = 10_000  # per-pair RNG seed: pair i reseeds both arms with it
+
+
+def _paired_medians(txns, set_enabled) -> tuple[float, float]:
+    """Median order_status wall time with ``set_enabled(True)`` vs
+    ``set_enabled(False)``: both arms of pair i replay seed SEED_BASE + i,
+    and the arm order alternates. Leaves everything enabled."""
+    on_times: list[float] = []
+    off_times: list[float] = []
+    # Standard micro-benchmark hygiene: collect once, then pause the
+    # cyclic GC for the timed region so collection pauses (which land on
+    # whichever arm happens to be running) don't skew the medians.
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(PAIRS):
+            arms = (True, False) if i % 2 else (False, True)
+            for enabled in arms:
+                txns.rng.seed(SEED_BASE + i)
+                set_enabled(enabled)
+                started = time.perf_counter()
+                txns.order_status()
+                elapsed = time.perf_counter() - started
+                (on_times if enabled else off_times).append(elapsed)
+    finally:
+        gc.enable()
+        set_enabled(True)
+    return statistics.median(on_times), statistics.median(off_times)
 
 
 def test_recorder_overhead_under_5_percent():
@@ -54,36 +86,27 @@ def test_recorder_overhead_under_5_percent():
         txns.rng.seed(i)
         txns.order_status()
 
-    on_times: list[float] = []
-    off_times: list[float] = []
     recorder.clear()
-    # Standard micro-benchmark hygiene: collect once, then pause the
-    # cyclic GC for the timed region so collection pauses (which land on
-    # whichever arm happens to be running) don't skew the medians.
-    gc.collect()
-    gc.disable()
-    try:
-        for i in range(PAIRS):
-            arms = ("on", "off") if i % 2 else ("off", "on")
-            for arm in arms:
-                txns.rng.seed(SEED_BASE + i)
-                recorder.enabled = arm == "on"
-                started = time.perf_counter()
-                txns.order_status()
-                elapsed = time.perf_counter() - started
-                (on_times if arm == "on" else off_times).append(elapsed)
-    finally:
-        gc.enable()
-        recorder.enabled = True
+
+    def set_recorder(enabled: bool) -> None:
+        recorder.enabled = enabled
+
+    median_on, median_off = _paired_medians(txns, set_recorder)
     events_recorded = len(recorder)
     assert events_recorded > 0, "recorder-on runs must actually record"
-
-    median_on = statistics.median(on_times)
-    median_off = statistics.median(off_times)
     overhead = (median_on - median_off) / median_off
 
-    # -- the kill switch: registry off must make record_event near-free ----
+    # -- the whole stack: registry, tracer and recorder all on vs all off --
     registry = get_registry()
+    tracer = get_tracer()
+
+    def set_stack(enabled: bool) -> None:
+        registry.enabled = tracer.enabled = recorder.enabled = enabled
+
+    stack_on, stack_off = _paired_medians(txns, set_stack)
+    recorder.clear()
+
+    # -- the kill switch: registry off must make record_event near-free ----
     started = time.perf_counter()
     for __ in range(DISABLED_CALLS):
         record_event("stmt.begin", query="disabled-cost-probe")
@@ -108,6 +131,9 @@ def test_recorder_overhead_under_5_percent():
         "events_recorded": events_recorded,
         "enabled_record_call_s": round(enabled_call_s, 9),
         "disabled_record_call_s": round(disabled_call_s, 9),
+        "stack_median_on_s": round(stack_on, 7),
+        "stack_median_off_s": round(stack_off, 7),
+        "stack_on_off_ratio": round(stack_on / stack_off, 4),
     }
     OUT_PATH.write_text(json.dumps(summary, indent=2, sort_keys=True))
     print("\n  obs_overhead: " + json.dumps(summary, sort_keys=True))

@@ -1,6 +1,6 @@
-"""The runtime half of the metrics lint (absorbed from
-``scripts/check_metrics.py``; that script is now a thin shim over this
-module).
+"""The runtime half of the metrics lint.
+
+Usage:  PYTHONPATH=src python -m repro.analysis.dynamic_metrics [-v]
 
 The static half lives in the :mod:`site-metric
 <repro.analysis.rules.consistency>` rule family — it validates every
@@ -104,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         run_workload()
     except Exception:
-        print("check_metrics: workload failed (kind conflict or regression?):")
+        print("metrics lint: workload failed (kind conflict or regression?):")
         traceback.print_exc()
         return 2
 
@@ -115,11 +115,11 @@ def main(argv: list[str] | None = None) -> int:
     problems = check_names(verbose=verbose)
     count = len(get_registry().names())
     if problems:
-        print(f"check_metrics: {len(problems)} naming violation(s) in {count} metrics:")
+        print(f"metrics lint: {len(problems)} naming violation(s) in {count} metrics:")
         for problem in problems:
             print(f"  - {problem}")
         return 1
-    print(f"check_metrics: OK ({count} metrics, all names conform)")
+    print(f"metrics lint: OK ({count} metrics, all names conform)")
     return 0
 
 

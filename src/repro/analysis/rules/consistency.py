@@ -14,8 +14,8 @@ never fires, a counter nobody aggregates). Checks:
   can't be audited;
 * every metric name — ``registry.counter/gauge/histogram("…")`` literals
   and ``FIELDS``-style StatsView maps — follows the ``component.noun_verb``
-  convention (the static half of ``scripts/check_metrics.py``, absorbed
-  here);
+  convention (the static half of the metrics lint; the runtime half is
+  :mod:`repro.analysis.dynamic_metrics`);
 * no metric name is registered under two different kinds;
 * every ``record_event("…")`` literal names a flight-recorder event kind
   registered in :data:`repro.obs.flightrec.EVENT_KINDS` and follows the

@@ -13,6 +13,12 @@ real spin-then-sleep. The boundary-transition cost itself (a hypervisor
 context switch on VBS) has no native analog in-process, so it is charged
 explicitly as a configurable busy-wait — the knob the A1 ablation bench
 sweeps.
+
+Work shipped to a QUEUED worker carries the submitting statement's
+:class:`~repro.obs.tracing.CapturedTrace` — its trace identity, open
+span and metrics attribution record. The worker runs the item under
+``Tracer.adopt``, so its spans, flight-recorder events and counter
+increments all attribute to that statement.
 """
 
 from __future__ import annotations
@@ -75,12 +81,10 @@ class _WorkItem:
     #: When True, ``inputs`` is a list of rows and the item routes through
     #: ``Enclave.eval_batch`` — one queue slot, one transition per chunk.
     batch: bool = False
-    #: The submitting thread's metric attribution contexts; the worker
-    #: adopts them so enclave counters land in the right statement's stats.
-    contexts: tuple = ()
-    #: The submitting thread's trace state; the worker adopts it so
-    #: flight-recorder events emitted inside the enclave (ecall
-    #: observations, measured transitions) carry the statement identity.
+    #: The submitting thread's trace state and attribution record; the
+    #: worker adopts it so flight-recorder events emitted inside the
+    #: enclave (ecall observations, measured transitions) carry the
+    #: statement identity and enclave counters land in its QueryStats.
     trace: CapturedTrace = EMPTY_CAPTURE
 
 
@@ -159,11 +163,7 @@ class EnclaveCallGateway:
                 result = self.enclave.eval(handle, inputs)
                 self._observe_transition(1, time.perf_counter() - started)
                 return result
-        item = _WorkItem(
-            handle=handle, inputs=inputs,
-            contexts=get_registry().current_contexts(),
-            trace=self._tracer.capture(),
-        )
+        item = _WorkItem(handle=handle, inputs=inputs, trace=self._tracer.capture())
         # The span covers submit→completion as seen by the host thread: the
         # full cost of routing one evaluation through the enclave boundary.
         with self._tracer.ecall_span("enclave.eval", mode="queued"):
@@ -197,9 +197,7 @@ class EnclaveCallGateway:
                 self._observe_transition(len(rows), time.perf_counter() - started)
                 return result
         item = _WorkItem(
-            handle=handle, inputs=rows, batch=True,
-            contexts=get_registry().current_contexts(),
-            trace=self._tracer.capture(),
+            handle=handle, inputs=rows, batch=True, trace=self._tracer.capture()
         )
         with self._tracer.ecall_span(
             "enclave.eval_batch", mode="queued", rows=len(rows)
@@ -223,8 +221,7 @@ class EnclaveCallGateway:
             item = self._queue.get()
             if item is None:
                 return
-            with get_registry().adopt_contexts(item.contexts), \
-                    self._tracer.adopt(item.trace):
+            with self._tracer.adopt(item.trace):
                 self.stats.inc("worker_wakeups")
                 self.stats.inc("boundary_transitions")
                 _busy_wait(self.transition_cost_s)
@@ -241,8 +238,7 @@ class EnclaveCallGateway:
                     continue
                 if item is None:
                     return
-                with get_registry().adopt_contexts(item.contexts), \
-                        self._tracer.adopt(item.trace):
+                with self._tracer.adopt(item.trace):
                     self.stats.inc("spin_hits")
                     self._process(item)
                 deadline = time.perf_counter() + self.spin_duration_s
@@ -268,6 +264,10 @@ class EnclaveCallGateway:
         except Exception as exc:  # propagate to the submitting host thread
             item.error = exc
         finally:
+            # The adopted attribution record has one writer at a time: this
+            # worker while the submitter is blocked in ``item.done.wait()``,
+            # then the submitter again. So every worker-side increment for
+            # this item happens before this line, and none after it.
             item.done.set()
 
     def shutdown(self) -> None:

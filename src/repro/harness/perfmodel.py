@@ -139,8 +139,3 @@ class NormalizedFigure:
         for i, n in enumerate(clients):
             out.append(tuple([n] + [self.normalized[c.label][i] for c in self.curves]))
         return out
-
-    def relative_at(self, label: str, n: int) -> float:
-        baseline = next(c for c in self.curves if c.label == self.baseline_label)
-        i = baseline.clients.index(n)
-        return self.normalized[label][i] / self.normalized[self.baseline_label][i]

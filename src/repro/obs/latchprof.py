@@ -13,7 +13,8 @@ module adds that:
 * :class:`LatchProfiler` — per-level and per-latch cumulative/max wait
   accounting. Waits also feed per-level *counters* (``latch.l07_waits``,
   ``latch.l07_wait_seconds``), which is what routes them through the
-  active :class:`~repro.obs.metrics.AttributionContext` into the waiting
+  thread's attribution record
+  (:meth:`~repro.obs.metrics.MetricsRegistry.swap_record`) into the waiting
   statement's :class:`~repro.obs.querystats.QueryStats` — per-statement
   contention in ``EXPLAIN STATS`` without any per-statement plumbing.
 
@@ -79,7 +80,7 @@ class LatchProfiler:
         self._total_waits.inc()
         self._total_seconds.inc(wait_s)
         # Per-level counters carry the wait into the active statement's
-        # attribution context; registration is lazy and get-or-create.
+        # attribution record; registration is lazy and get-or-create.
         self._registry.counter(f"latch.l{level:02d}_waits").inc()
         self._registry.counter(f"latch.l{level:02d}_wait_seconds").inc(wait_s)
         # Imported here, not at module top: flightrec pulls in the tracer,

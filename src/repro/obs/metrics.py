@@ -12,11 +12,17 @@ Design rules:
   segments of ``[a-z][a-z0-9_]*``, at least two segments, where the first
   segment names the reporting component (``enclave``, ``bufferpool``, ...)
   and the last describes what is counted (``pages_read``, ``wait_seconds``).
-  ``scripts/check_metrics.py`` lints this.
+  The ``site-metric`` rules of ``python -m repro.analysis`` lint the
+  literals; ``python -m repro.analysis.dynamic_metrics`` lints the live
+  registry.
 * **Registration is get-or-create** per (name, kind); re-registering the
   same name with a *different* kind raises — that is always a bug.
 * **Thread safety**: every mutation takes the metric's lock; concurrent
   increments never lose counts.
+* **Attribution**: a statement's collector installs a plain ``dict`` as
+  the thread's record (:meth:`MetricsRegistry.swap_record`); every counter
+  increment on that thread also lands in it, so the statement reads back
+  exactly its own counts while the global values stay exact for readers.
 * **Cheap when disabled**: ``registry.enabled = False`` turns every
   ``inc``/``set``/``observe`` into a single attribute check and return.
 * **Exposition**: ``to_json()`` and ``to_prometheus_text()`` both
@@ -30,7 +36,6 @@ share one process-global metric while keeping per-instance semantics.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import json
 import re
@@ -66,35 +71,10 @@ def validate_metric_name(name: str) -> None:
         )
 
 
-class AttributionContext:
-    """A per-statement bucket of counter increments.
+class _ThreadRecord(threading.local):
+    """The calling thread's attribution record (``None``: no statement)."""
 
-    While a context is active on a thread (``registry.push_context``),
-    every ``Counter.inc`` on that thread *also* adds into the context —
-    so a statement reads back exactly the counts its own execution caused,
-    even when other sessions increment the same global counters
-    concurrently. Contexts can be adopted by worker threads
-    (``registry.adopt_contexts``) so enclave-gateway work done on behalf
-    of a statement still attributes to it.
-    """
-
-    __slots__ = ("_values", "_lock")
-
-    def __init__(self):
-        self._values: dict[str, int | float] = {}
-        self._lock = threading.Lock()
-
-    def add(self, name: str, amount: int | float) -> None:
-        with self._lock:
-            self._values[name] = self._values.get(name, 0) + amount
-
-    def value(self, name: str) -> int | float:
-        with self._lock:
-            return self._values.get(name, 0)
-
-    def snapshot(self) -> dict[str, int | float]:
-        with self._lock:
-            return dict(self._values)
+    record: dict[str, int | float] | None = None
 
 
 class Counter:
@@ -116,8 +96,11 @@ class Counter:
             raise MetricError(f"counter {self.name!r} cannot decrease")
         with self._lock:
             self._value += amount
-        for ctx in self._registry.current_contexts():
-            ctx.add(self.name, amount)
+        # Lock-free: a record has one writer at a time (see
+        # MetricsRegistry.swap_record).
+        record = self._registry._tls.record
+        if record is not None:
+            record[self.name] = record.get(self.name, 0) + amount
 
     @property
     def value(self) -> int | float:
@@ -238,46 +221,28 @@ class MetricsRegistry:
         self._metrics: dict[str, Metric] = {}
         self._kinds: dict[str, MetricKind] = {}
         self._lock = threading.Lock()
-        self._tls = threading.local()
+        self._tls = _ThreadRecord()
 
-    # -- attribution contexts ----------------------------------------------
+    # -- per-statement attribution record -----------------------------------
 
-    def _context_stack(self) -> list[AttributionContext]:
-        stack = getattr(self._tls, "contexts", None)
-        if stack is None:
-            stack = []
-            self._tls.contexts = stack
-        return stack
+    def thread_record(self) -> dict[str, int | float] | None:
+        """The calling thread's attribution record, if a statement owns one."""
+        return self._tls.record
 
-    def current_contexts(self) -> tuple[AttributionContext, ...]:
-        """The contexts active on the calling thread (innermost last)."""
-        stack = getattr(self._tls, "contexts", None)
-        if not stack:
-            return ()
-        return tuple(stack)
+    def swap_record(
+        self, record: dict[str, int | float] | None
+    ) -> dict[str, int | float] | None:
+        """Install ``record`` as the calling thread's attribution record and
+        return the one it replaces.
 
-    def push_context(self, ctx: AttributionContext) -> AttributionContext:
-        self._context_stack().append(ctx)
-        return ctx
-
-    def pop_context(self, ctx: AttributionContext) -> None:
-        stack = self._context_stack()
-        if ctx in stack:
-            stack.remove(ctx)
-
-    @contextlib.contextmanager
-    def adopt_contexts(self, contexts: tuple[AttributionContext, ...]):
-        """Attribute this thread's increments to ``contexts`` for the
-        duration — used by worker threads doing a statement's work."""
-        stack = self._context_stack()
-        for ctx in contexts:
-            stack.append(ctx)
-        try:
-            yield
-        finally:
-            for ctx in contexts:
-                if ctx in stack:
-                    stack.remove(ctx)
+        While installed, every ``Counter.inc`` on this thread also adds into
+        the record, without a lock: a record has one writer at a time — the
+        statement's own thread, or an enclave-gateway worker that adopted it
+        (``Tracer.adopt``) while that thread is blocked waiting for the work.
+        """
+        previous = self._tls.record
+        self._tls.record = record
+        return previous
 
     # -- registration -------------------------------------------------------
 

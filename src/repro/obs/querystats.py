@@ -7,21 +7,24 @@ equivalent — and the measurement substrate the paper's claims are checked
 against: ecalls per query (Section 4.6), pages touched per index seek over
 ciphertext (Section 3.1.2), and driver cache effectiveness (Section 4.1).
 
-The collector works by pushing a thread-local :class:`AttributionContext`
-onto the registry for the duration of the statement: every counter
-increment made by the executing thread (and by enclave-gateway worker
-threads acting on its behalf, which adopt the context) is also added into
-the context. Concurrent statements therefore read back exactly their own
-counts instead of folding into each other's deltas — the fix the
-threaded regression test in ``tests/obs/test_querystats_concurrent.py``
-pins down.
+The collector installs a fresh attribution record — a plain ``dict`` —
+as the executing thread's record for the duration of the statement
+(:meth:`~repro.obs.metrics.MetricsRegistry.swap_record`): every counter
+increment made by that thread, and by an enclave-gateway worker acting on
+its behalf (the record travels in the :class:`~repro.obs.tracing.CapturedTrace`
+the worker adopts), also lands in the record. Concurrent statements
+therefore read back exactly their own counts instead of folding into each
+other's deltas — what ``tests/obs/test_querystats_concurrent.py`` pins
+down. When a collector ends it restores the record it replaced and adds
+its counts into it, so an enclosing collector (the driver's, around an
+in-process server statement) still sees everything that ran inside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import AttributionContext, MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tracing import ECALL, Span
 
 # Counter names diffed into QueryStats. Keys are QueryStats field names.
@@ -48,7 +51,7 @@ _SERVER_DELTA_FIELDS: dict[str, str] = {
 
 #: Per-level latch counters (``latch.l07_wait_seconds``) are dynamic —
 #: one pair per contended hierarchy level — so they are harvested from
-#: the context snapshot by prefix instead of a fixed field map.
+#: the record by prefix instead of a fixed field map.
 _LATCH_LEVEL_PREFIX = "latch.l"
 
 _DRIVER_DELTA_FIELDS: dict[str, str] = {
@@ -130,23 +133,42 @@ class QueryStats:
         return out
 
 
-class QueryStatsCollector:
-    """Context-based collector wrapped around one statement execution.
+class _RecordScope:
+    """Owns one attribution record on the calling thread.
 
-    Construction pushes an attribution context onto the calling thread;
-    :meth:`finish` (success path) or :meth:`cancel` (exception path) pops
-    it. The collector must be created on the same thread that executes
-    the statement.
+    Construction installs a fresh record and remembers the one it
+    replaced; :meth:`_close` puts that one back and adds this scope's
+    counts into it, so nested scopes compose.
+    """
+
+    def __init__(self, registry: MetricsRegistry | None = None):
+        self.registry = registry or get_registry()
+        self._record: dict[str, int | float] = {}
+        self._saved = self.registry.swap_record(self._record)
+
+    def _close(self) -> dict[str, int | float]:
+        self.registry.swap_record(self._saved)
+        if self._saved is not None:
+            for name, amount in self._record.items():
+                self._saved[name] = self._saved.get(name, 0) + amount
+        return self._record
+
+    def cancel(self) -> None:
+        """End the scope without building stats (statement failed)."""
+        self._close()
+
+
+class QueryStatsCollector(_RecordScope):
+    """Record-based collector wrapped around one statement execution.
+
+    :meth:`finish` (success path) or :meth:`cancel` (exception path) ends
+    it. The collector must be created and ended on the thread that
+    executes the statement.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None, query_text: str = ""):
-        self.registry = registry or get_registry()
+        super().__init__(registry)
         self.query_text = query_text
-        self._ctx = self.registry.push_context(AttributionContext())
-
-    def cancel(self) -> None:
-        """Pop the context without building stats (statement failed)."""
-        self.registry.pop_context(self._ctx)
 
     def finish(
         self,
@@ -155,7 +177,7 @@ class QueryStatsCollector:
         plan_info: str = "",
         root_span: Span | None = None,
     ) -> QueryStats:
-        self.registry.pop_context(self._ctx)
+        record = self._close()
         if root_span is not None and root_span.end_s is None:
             # The disabled-tracer null span (never finished): drop it.
             root_span = None
@@ -169,31 +191,24 @@ class QueryStatsCollector:
             root_span=root_span,
         )
         for attr, name in _SERVER_DELTA_FIELDS.items():
-            setattr(stats, attr, self._ctx.value(name))
+            setattr(stats, attr, record.get(name, 0))
         stats.latch_level_waits = {
             name: value
-            for name, value in self._ctx.snapshot().items()
+            for name, value in record.items()
             if name.startswith(_LATCH_LEVEL_PREFIX)
         }
         return stats
 
 
-class DriverStatsCollector:
+class DriverStatsCollector(_RecordScope):
     """The driver-side half: cache and round-trip counts around execute()."""
 
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self.registry = registry or get_registry()
-        self._ctx = self.registry.push_context(AttributionContext())
-
-    def cancel(self) -> None:
-        self.registry.pop_context(self._ctx)
-
     def apply(self, stats: QueryStats | None) -> None:
-        self.registry.pop_context(self._ctx)
+        record = self._close()
         if stats is None:
             return
         for attr, name in _DRIVER_DELTA_FIELDS.items():
-            setattr(stats, attr, self._ctx.value(name))
+            setattr(stats, attr, record.get(name, 0))
 
 
 def format_explain_stats(stats: QueryStats) -> str:

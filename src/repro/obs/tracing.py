@@ -1,9 +1,8 @@
 """Query-scoped span traces.
 
 A span is one timed region of work (a statement, an operator, an enclave
-crossing) with attributes and optional captured metric deltas. Spans nest
-through a thread-local stack, so instrumented code never threads a context
-object around:
+crossing) with attributes. Spans nest through a thread-local stack, so
+instrumented code never threads a context object around:
 
     with tracer.span("exec.index_seek", table="T") as span:
         ...
@@ -22,7 +21,10 @@ on its session's thread; when it ships work to the QUEUED enclave
 gateway, submitting code calls :meth:`Tracer.capture` and the receiving
 thread wraps the work in :meth:`Tracer.adopt`, so spans and
 flight-recorder events emitted on the worker parent under the submitting
-statement's trace instead of silently rooting a fresh one. With
+statement's trace instead of silently rooting a fresh one. The capture
+also carries the statement's metrics attribution record (see
+:meth:`~repro.obs.metrics.MetricsRegistry.swap_record`), so counters the
+worker increments land in the submitting statement's QueryStats. With
 ``tracer.strict`` set (tests), an adopted thread opening a span with no
 inherited context raises :class:`TraceOrphanError` — the loud failure
 mode for broken propagation.
@@ -35,7 +37,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import Histogram, MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 
 # Span kinds. Plain strings so instrumentation can invent operator kinds
 # freely; ECALL is special-cased by QueryStats and the pretty-printer.
@@ -75,10 +77,8 @@ class CapturedTrace:
 
     context: TraceContext | None = None
     parent: "Span | None" = None
-
-    @property
-    def empty(self) -> bool:
-        return self.context is None and self.parent is None
+    #: The submitting statement's metrics attribution record.
+    record: dict | None = None
 
 
 #: Shared empty capture so hot submit paths allocate nothing.
@@ -87,7 +87,7 @@ EMPTY_CAPTURE = CapturedTrace()
 
 @dataclass
 class Span:
-    """One timed region; ``metrics`` holds captured registry deltas."""
+    """One timed region of work."""
 
     name: str
     kind: str = INTERNAL
@@ -96,7 +96,6 @@ class Span:
     end_s: float | None = None
     children: list["Span"] = field(default_factory=list)
     dropped_children: int = 0
-    metrics: dict[str, int | float] = field(default_factory=dict)
 
     @property
     def duration_s(self) -> float:
@@ -128,10 +127,7 @@ class Span:
         attrs = ""
         if self.attrs:
             attrs = " " + " ".join(f"{k}={v}" for k, v in self.attrs.items())
-        deltas = ""
-        if self.metrics:
-            deltas = " [" + " ".join(f"{k}={v}" for k, v in sorted(self.metrics.items())) + "]"
-        line = f"{pad}{self.name} ({self.kind}) {self.duration_s * 1000:.3f}ms{attrs}{deltas}"
+        line = f"{pad}{self.name} ({self.kind}) {self.duration_s * 1000:.3f}ms{attrs}"
         lines = [line]
         for child in self.children:
             lines.append(child.format_tree(indent + 1))
@@ -143,19 +139,14 @@ class Span:
 class _SpanContext:
     """Context manager handed out by :meth:`Tracer.span`."""
 
-    __slots__ = ("_tracer", "_span", "_capture", "_baseline", "_parent")
+    __slots__ = ("_tracer", "_span", "_parent")
 
-    def __init__(self, tracer: "Tracer", span: Span, capture: tuple[str, ...]):
+    def __init__(self, tracer: "Tracer", span: Span):
         self._tracer = tracer
         self._span = span
-        self._capture = capture
-        self._baseline: dict[str, int | float] = {}
         self._parent: Span | None = None
 
     def __enter__(self) -> Span:
-        registry = self._tracer.registry
-        for name in self._capture:
-            self._baseline[name] = registry.value(name)
         self._span.start_s = time.perf_counter()
         stack = self._tracer._stack()
         self._parent = stack[-1] if stack else None
@@ -165,9 +156,6 @@ class _SpanContext:
     def __exit__(self, *exc_info) -> None:
         span = self._span
         span.end_s = time.perf_counter()
-        registry = self._tracer.registry
-        for name, base in self._baseline.items():
-            span.metrics[name] = registry.value(name) - base
         stack = self._tracer._stack()
         # Pop this span plus anything still stacked above it: a generator
         # suspended at a yield inside a span never runs its __exit__ when
@@ -217,9 +205,6 @@ class Tracer:
         #: span closes — how the flight recorder sees spans without the
         #: tracer importing it (that would be a cycle).
         self._sinks: list = []
-        # Histogram of ecall span durations — boundary-crossing latency is
-        # a first-class observable, not just a count.
-        self._ecall_hist: Histogram | None = None
 
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)
@@ -249,12 +234,14 @@ class Tracer:
             self._local.trace = previous
 
     def capture(self) -> CapturedTrace:
-        """Snapshot the calling thread's trace state for worker hand-off."""
+        """Snapshot the calling thread's trace state and attribution record
+        for worker hand-off."""
         context = self.current_trace()
         parent = self.current()
-        if context is None and parent is None:
+        record = self.registry.thread_record()
+        if context is None and parent is None and record is None:
             return EMPTY_CAPTURE
-        return CapturedTrace(context=context, parent=parent)
+        return CapturedTrace(context=context, parent=parent, record=record)
 
     @contextlib.contextmanager
     def adopt(self, captured: CapturedTrace):
@@ -262,15 +249,17 @@ class Tracer:
 
         The captured parent span (if any) is pushed onto this thread's
         stack so spans opened here nest under it; it is popped — without
-        re-attaching, it belongs to the submitter's stack — at exit. Safe
-        because the submitting thread blocks on the work's completion
-        while its span is open.
+        re-attaching, it belongs to the submitter's stack — at exit. The
+        captured attribution record is installed as this thread's record
+        for the duration. Safe because the submitting thread blocks on
+        the work's completion while its span and record are shared.
         """
         local = self._local
         previous_trace = getattr(local, "trace", None)
         previously_adopted = getattr(local, "adopted", False)
         local.trace = captured.context
         local.adopted = True
+        previous_record = self.registry.swap_record(captured.record)
         stack = self._stack()
         pushed = captured.parent is not None
         if pushed:
@@ -285,6 +274,7 @@ class Tracer:
                     if stack[i] is captured.parent:
                         del stack[i:]
                         break
+            self.registry.swap_record(previous_record)
             local.trace = previous_trace
             local.adopted = previously_adopted
 
@@ -300,14 +290,9 @@ class Tracer:
             self._sinks.remove(sink)
 
     def span(
-        self,
-        name: str,
-        kind: str = INTERNAL,
-        capture: tuple[str, ...] = (),
-        **attrs,
+        self, name: str, kind: str = INTERNAL, **attrs
     ) -> _SpanContext | _NullSpanContext:
-        """Open a span. ``capture`` names registry metrics whose deltas are
-        recorded on the span at exit."""
+        """Open a span; ``attrs`` are recorded on it."""
         if not self.enabled:
             return _NULL_CONTEXT
         if (
@@ -321,7 +306,7 @@ class Tracer:
                 "trace context or parent span — the submitting side failed "
                 "to capture/propagate its trace"
             )
-        return _SpanContext(self, Span(name=name, kind=kind, attrs=attrs), capture)
+        return _SpanContext(self, Span(name=name, kind=kind, attrs=attrs))
 
     def ecall_span(self, name: str, **attrs) -> _SpanContext | _NullSpanContext:
         """A span for one enclave boundary crossing."""

@@ -218,14 +218,6 @@ class Catalog:
         with self._latch:
             return dict(self._cek_versions)
 
-    def bump_cek_version(self, cek_name: str) -> int:
-        """Record a completed rotation onto ``cek_name``; returns the new version."""
-        with self._latch:
-            self.cek(cek_name)
-            version = self._cek_versions.get(cek_name, 1) + 1
-            self._cek_versions[cek_name] = version
-            return version
-
     def set_column_encryption(
         self, table: str, column: str, encryption: EncryptionInfo | None
     ) -> None:

@@ -82,18 +82,6 @@ class BPlusTree:
 
     # -- search ------------------------------------------------------------
 
-    def _find_leaf_for_insert(self, key: object) -> _Leaf:
-        node = self._root
-        visited = 1
-        while not node.is_leaf:
-            idx = self._upper_bound(node.keys, key)
-            node = node.children[idx]
-            visited += 1
-        _nodes_visited.inc(visited)
-        if self._leak_column is not None:
-            record_leak(self._leak_column, "index_touch", count=visited)
-        return node  # type: ignore[return-value]
-
     def _find_leaf_for_search(self, key: object) -> _Leaf:
         # Descend via lower bound: a separator equal to the key may have
         # equal keys remaining in the left subtree (duplicates split across
@@ -330,16 +318,6 @@ class BPlusTree:
                 self._size += 1
 
     # -- structural introspection (Figure 4 style walkthroughs) -----------------
-
-    def leaf_keys(self) -> list[list[object]]:
-        """Keys per leaf, left to right."""
-        with self._latch:
-            out: list[list[object]] = []
-            leaf = self._leftmost_leaf()
-            while leaf is not None:
-                out.append(list(leaf.keys))
-                leaf = leaf.next
-            return out
 
     def height(self) -> int:
         with self._latch:

@@ -10,8 +10,9 @@ one statement per session at a time.
 
 Running on the caller's thread is also what makes per-statement
 observability correct under concurrency: the span tracer is thread-local,
-and the :class:`~repro.obs.querystats.QueryStatsCollector` pushes its
-attribution context on the thread that executes the statement.
+and the :class:`~repro.obs.querystats.QueryStatsCollector` installs its
+thread-local attribution record on the thread that executes the
+statement.
 """
 
 from __future__ import annotations

@@ -609,7 +609,7 @@ class ServerSession:
             self._rollback()
             return QueryResult()
         # DML runs start-to-finish on this thread, so the thread-local
-        # tracer and stats attribution context both live on the thread
+        # tracer and stats attribution record both live on the thread
         # actually doing the work.
         return self.server.scheduler.submit(
             lambda: self._run_statement(query_text, params or {})

@@ -1,5 +1,5 @@
-"""Span tracer tests: nesting, ordering, metric capture, the child cap,
-and the disabled no-op path."""
+"""Span tracer tests: nesting, ordering, the child cap, and the disabled
+no-op path."""
 
 from __future__ import annotations
 
@@ -92,15 +92,6 @@ def test_span_count_by_kind():
     assert root.count() == 3
 
 
-def test_metric_capture_records_deltas():
-    tracer, registry = make_tracer()
-    counter = registry.counter("test.work_done")
-    counter.inc(10)
-    with tracer.span("traced", capture=("test.work_done",)) as span:
-        counter.inc(5)
-    assert span.metrics["test.work_done"] == 5
-
-
 def test_child_cap_counts_overflow():
     tracer, __ = make_tracer()
     with tracer.span("root") as root:
@@ -146,11 +137,9 @@ def test_spans_are_thread_local():
     assert root.children == []  # the other thread's span is not our child
 
 
-def test_format_tree_shows_attrs_and_metrics():
+def test_format_tree_shows_attrs_and_duration():
     span = Span(name="n", kind=OPERATOR, attrs={"table": "T"})
     span.start_s, span.end_s = 0.0, 0.001
-    span.metrics["enclave.ecalls"] = 3
     text = span.format_tree()
     assert "table=T" in text
-    assert "enclave.ecalls=3" in text
     assert "1.000ms" in text
